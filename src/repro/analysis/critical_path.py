@@ -19,11 +19,9 @@ from ..rp.states import TaskState
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..entk.pipeline import Pipeline
     from ..rp.task import Task
-    from ..telemetry.spans import Span, Telemetry
 
 __all__ = ["TaskBreakdown", "StagePath", "PipelineCriticalPath",
-           "breakdown_task", "pipeline_critical_path",
-           "span_critical_path"]
+           "breakdown_task", "pipeline_critical_path"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,44 +150,3 @@ def pipeline_critical_path(pipeline: "Pipeline") -> PipelineCriticalPath:
         )
     return path
 
-
-def span_critical_path(
-    telemetry: "Telemetry", trace_id: int | None = None
-) -> "list[Span]":
-    """The root-to-leaf span chain that releases a trace last.
-
-    Span-native twin of :func:`pipeline_critical_path`: starting from
-    the longest root span (of ``trace_id``, or of the whole run), at
-    each level descend into the child whose end is latest — the span
-    whose completion gated its parent's.  Open spans are clamped to
-    ``env.now``.  Deterministic: ties break toward the earliest-created
-    span.
-    """
-    spans = [
-        s
-        for s in telemetry.spans
-        if trace_id is None or s.trace_id == trace_id
-    ]
-    if not spans:
-        return []
-    now = telemetry.env.now
-    by_id = {s.span_id: s for s in spans}
-    children: dict[int, list] = {}
-    roots = []
-    for s in spans:
-        if s.parent_id is not None and s.parent_id in by_id:
-            children.setdefault(s.parent_id, []).append(s)
-        else:
-            roots.append(s)
-
-    def end_of(span) -> float:
-        return span.end if span.end is not None else now
-
-    root = max(roots, key=lambda s: (end_of(s) - s.start, -s.span_id))
-    path = [root]
-    while True:
-        kids = children.get(path[-1].span_id)
-        if not kids:
-            break
-        path.append(max(kids, key=lambda s: (end_of(s), -s.span_id)))
-    return path

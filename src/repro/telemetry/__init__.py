@@ -16,7 +16,6 @@ regression battery in ``tests/telemetry``.
 from .bridge import (
     install_tracer_sink,
     render_span_table,
-    spans_to_trace_records,
     top_critical_spans,
 )
 from .export import (
@@ -68,7 +67,6 @@ __all__ = [
     "component_tracks",
     "flame_summary",
     "install_tracer_sink",
-    "spans_to_trace_records",
     "top_critical_spans",
     "render_span_table",
 ]

@@ -1,17 +1,11 @@
-"""Bridge between the flat :class:`~repro.sim.trace.Tracer` log and spans.
+"""Bridge from the flat :class:`~repro.sim.trace.Tracer` log to spans.
 
-Two directions:
-
-* **Tracer → spans**: :func:`install_tracer_sink` hooks the tracer's
-  record sink so every stored record is *also* attached as a point
-  event on the causally right span — task-uid records land on the
-  task's bound span, everything else on the innermost active span.  No
-  subsystem logs twice: the tracer remains the single flat log, and
-  spans carry references into it, not copies of subsystem state.
-* **Spans → TraceRecords**: :func:`spans_to_trace_records` renders the
-  span tree as ordinary ``telemetry.span`` records so the existing
-  analysis helpers (:mod:`repro.analysis.critical_path`,
-  :mod:`repro.analysis.timeline`) consume spans natively.
+:func:`install_tracer_sink` hooks the tracer's record sink so every
+stored record is *also* attached as a point event on the causally right
+span — task-uid records land on the task's bound span, everything else
+on the innermost active span.  No subsystem logs twice: the tracer
+remains the single flat log, and spans carry references into it, not
+copies of subsystem state.
 """
 
 from __future__ import annotations
@@ -26,7 +20,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "install_tracer_sink",
-    "spans_to_trace_records",
     "top_critical_spans",
     "render_span_table",
 ]
@@ -67,32 +60,6 @@ def install_tracer_sink(telemetry: Telemetry, tracer: "Tracer") -> None:
         )
 
     tracer.sink = sink
-
-
-def spans_to_trace_records(telemetry: Telemetry) -> list[TraceRecord]:
-    """Render spans as flat ``telemetry.span`` records (start-ordered)."""
-    now = telemetry.env.now
-    records = [
-        TraceRecord(
-            time=span.start,
-            category="telemetry.span",
-            name=f"{span.component}:{span.name}",
-            data={
-                "trace_id": span.trace_id,
-                "span_id": span.span_id,
-                "parent_id": span.parent_id,
-                "component": span.component,
-                "span_name": span.name,
-                "start": span.start,
-                "end": span.end,
-                "duration": span.duration(now),
-                "closed": span.closed,
-            },
-        )
-        for span in telemetry.spans
-    ]
-    records.sort(key=lambda rec: (rec.time, rec.data["span_id"]))
-    return records
 
 
 def top_critical_spans(telemetry: Telemetry, k: int = 10) -> list[dict]:

@@ -9,7 +9,6 @@ from repro.telemetry import (
     drain_telemetries,
     install_tracer_sink,
     render_span_table,
-    spans_to_trace_records,
     top_critical_spans,
 )
 
@@ -72,26 +71,6 @@ def test_closed_bound_span_drops_to_ambient_then_counts():
     tracer.record("rp.state", "task.0", state="DONE")
     assert span.events == []
     assert tel.dropped_events == 1
-
-
-def test_spans_to_trace_records_round_trip():
-    env, tel, _tracer = _pair()
-
-    def build():
-        with tel.span("outer", component="a"):
-            yield env.timeout(2.0)
-            with tel.span("inner", component="b"):
-                yield env.timeout(1.0)
-
-    env.run(env.process(build()))
-    records = spans_to_trace_records(tel)
-    assert [r.name for r in records] == ["a:outer", "b:inner"]
-    assert all(r.category == "telemetry.span" for r in records)
-    outer, inner = records
-    assert outer.time == 0.0 and inner.time == 2.0
-    assert inner.data["parent_id"] == outer.data["span_id"]
-    assert inner.data["duration"] == 1.0
-    assert outer.data["closed"] and inner.data["closed"]
 
 
 def test_top_critical_spans_ranked_by_self_time():
