@@ -12,6 +12,12 @@ the legacy algorithm (global time bisect + linear ``record.source``
 filter) on identical stores, and asserts the two return identical
 records — the speedup is only meaningful if the answers agree.
 
+A second case, ``store_merged_path``, measures path-scoped merges: the
+load-imbalance analysis reads one ``TAU/<task>`` subtree per task, and
+the legacy read merged (deep-copied) the whole performance namespace
+to index one subtree out of it.  The replica keeps that algorithm; the
+bench asserts both sides return equal trees.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/perf/bench_store_query.py
@@ -64,6 +70,15 @@ class LegacyNamespaceStore(NamespaceStore):
             if record.source == source:
                 return record
         return None
+
+    def merged(self, source=None, since=None, until=None, path=None):
+        root = Node()
+        for record in self.records(source=source, since=since, until=until):
+            root.update(record.data)
+        if path is None:
+            return root
+        node = root.find(path)
+        return Node() if node is None else node
 
 
 def _payload() -> Node:
@@ -147,16 +162,64 @@ def store_query(sources: int, per_source: int, queries: int) -> dict:
     }
 
 
+def _task_uid(index: int) -> str:
+    return f"task.{index:06d}"
+
+
+def _populate_tau(
+    store: NamespaceStore, tasks: int, ranks: int, publishes: int
+) -> None:
+    """TAU-shaped profiles: each task's ranks split over ``publishes``."""
+    regions = ("solve", "assemble", "io", "MPI_Wait", "MPI_Allreduce")
+    for part in range(publishes):
+        for index in range(tasks):
+            tree = Node()
+            uid = _task_uid(index)
+            for rank in range(part, ranks, publishes):
+                base = f"TAU/{uid}/cn{rank % 4:04d}/rank{rank:05d}"
+                for offset, region in enumerate(regions):
+                    tree[f"{base}/{region}"] = float(rank + offset + index)
+            store.append(part * 60.0 + index, f"tau@{uid}", tree)
+
+
+def _task_reads(store: NamespaceStore, tasks: int) -> list[Node]:
+    """The load-imbalance access pattern: one subtree per task."""
+    return [store.merged(path=f"TAU/{_task_uid(i)}") for i in range(tasks)]
+
+
+def merged_path(tasks: int, ranks: int, publishes: int) -> dict:
+    scoped = NamespaceStore("performance")
+    legacy = LegacyNamespaceStore("performance")
+    _populate_tau(scoped, tasks, ranks, publishes)
+    _populate_tau(legacy, tasks, ranks, publishes)
+
+    legacy_seconds, legacy_trees = best_of(lambda: _task_reads(legacy, tasks))
+    scoped_seconds, scoped_trees = best_of(lambda: _task_reads(scoped, tasks))
+    return {
+        "tasks": tasks,
+        "records": len(scoped),
+        "leaves": sum(tree.num_leaves() for tree in scoped_trees),
+        "legacy": {"seconds": legacy_seconds},
+        "scoped": {"seconds": scoped_seconds},
+        "speedup": legacy_seconds / scoped_seconds,
+        "equivalent": [tree.to_dict() for tree in legacy_trees]
+        == [tree.to_dict() for tree in scoped_trees],
+    }
+
+
 def run_all(quick: bool = False) -> dict:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         if quick:
             bench = store_query(sources=16, per_source=400, queries=400)
+            scoped = merged_path(tasks=16, ranks=8, publishes=2)
         else:
             # A Scaling-A-sized deployment: 64 hardware monitors
             # publishing for a long run.
             bench = store_query(sources=64, per_source=4_000, queries=2_000)
+            # The openfoam_explain shape, four times the tasks.
+            scoped = merged_path(tasks=128, ranks=20, publishes=2)
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -165,7 +228,7 @@ def run_all(quick: bool = False) -> dict:
         "schema": 1,
         "quick": quick,
         "python": sys.version.split()[0],
-        "benches": {"store_source_query": bench},
+        "benches": {"store_source_query": bench, "store_merged_path": scoped},
     }
 
 
@@ -201,6 +264,15 @@ def main(argv: list[str] | None = None) -> int:
         f"indexed {bench['indexed']['seconds'] * 1e3:7.1f} ms   "
         f"speedup {bench['speedup']:.2f}x   "
         f"equivalent={bench['equivalent']}"
+    )
+    scoped = results["benches"]["store_merged_path"]
+    print(
+        f"store_merged_path {scoped['tasks']} tasks / "
+        f"{scoped['records']:,} records / {scoped['leaves']:,} leaves read   "
+        f"legacy {scoped['legacy']['seconds'] * 1e3:7.1f} ms   "
+        f"scoped {scoped['scoped']['seconds'] * 1e3:7.1f} ms   "
+        f"speedup {scoped['speedup']:.2f}x   "
+        f"equivalent={scoped['equivalent']}"
     )
     print(f"results written to {args.out}")
     return 0

@@ -22,8 +22,10 @@ from collections import defaultdict
 import numpy as np
 
 from ...soma.analysis import (
+    breakdown_imbalance,
     cpu_utilization_series,
     load_imbalance,
+    rank_compute_seconds,
     rank_region_breakdown,
     workflow_summary_series,
 )
@@ -248,10 +250,12 @@ class LoadImbalanceDetector(Detector):
         store = ctx.store(PERFORMANCE)
         if store is None or not len(store):
             return []
-        merged = store.merged()
-        if "TAU" not in merged:
-            return []
-        return sorted(name for name, _node in merged["TAU"].children())
+        uids: set[str] = set()
+        for record in store.records():
+            tau = record.data.find("TAU")
+            if tau is not None:
+                uids.update(tau.child_names())
+        return sorted(uids)
 
     def _task_window(self, ctx, task_uid: str) -> tuple[float, float]:
         store = ctx.store(PERFORMANCE)
@@ -275,14 +279,11 @@ class LoadImbalanceDetector(Detector):
         store = ctx.store(PERFORMANCE)
         findings = []
         for uid in self._task_uids(ctx):
-            ratio = load_imbalance(store, uid)
+            breakdown = rank_region_breakdown(store, uid)
+            ratio = breakdown_imbalance(breakdown)
             if ratio < thresholds.imbalance_ratio:
                 continue
-            breakdown = rank_region_breakdown(store, uid)
-            compute = [
-                sum(v for k, v in regions.items() if not k.startswith("MPI_"))
-                for regions in breakdown.values()
-            ]
+            compute = rank_compute_seconds(breakdown)
             start, end = self._task_window(ctx, uid)
             findings.append(
                 Finding(

@@ -127,14 +127,15 @@ class Node:
     def get(self, path: str, default: Any = None) -> Any:
         """Value at ``path``, or ``default`` if missing / not a leaf."""
         try:
-            node = self._descend(path)
+            node = self.find(path)
         except PathError:
             return default
         if node is None or not node._has_value:
             return default
         return node._value
 
-    def _descend(self, path: str) -> "Node | None":
+    def find(self, path: str) -> "Node | None":
+        """The node at ``path`` (leaf or object), or None; creates nothing."""
         node = self
         for part in _split(path):
             child = node._children.get(part)
@@ -144,7 +145,7 @@ class Node:
         return node
 
     def __getitem__(self, path: str) -> Any:
-        node = self._descend(path)
+        node = self.find(path)
         if node is None:
             raise PathError(path)
         if node._has_value:
@@ -155,7 +156,7 @@ class Node:
         self.fetch(path).set(value)
 
     def __contains__(self, path: str) -> bool:
-        return self._descend(path) is not None
+        return self.find(path) is not None
 
     def __delitem__(self, path: str) -> None:
         parts = _split(path)
@@ -209,7 +210,8 @@ class Node:
         if other._has_value:
             if self._children:
                 raise PathError("cannot merge a leaf onto an object node")
-            self._value = other._value
+            value = other._value
+            self._value = list(value) if isinstance(value, list) else value
             self._has_value = True
             return
         if self._has_value and other._children:

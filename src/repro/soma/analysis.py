@@ -27,6 +27,8 @@ __all__ = [
     "workflow_summary_series",
     "task_throughput",
     "rank_region_breakdown",
+    "rank_compute_seconds",
+    "breakdown_imbalance",
     "load_imbalance",
     "free_resource_estimate",
 ]
@@ -156,12 +158,13 @@ def task_throughput(store: NamespaceStore) -> list[tuple[float, float]]:
 def rank_region_breakdown(
     store: NamespaceStore, task_uid: str
 ) -> dict[int, dict[str, float]]:
-    """Per-rank seconds by region for one task (Fig 5's bars)."""
-    merged = store.merged()
-    if f"TAU/{task_uid}" not in merged:
-        return {}
+    """Per-rank seconds by region for one task (Fig 5's bars).
+
+    Reads only the ``TAU/<task_uid>`` subtree of the store, so the cost
+    is the task's own profile, not the whole performance namespace.
+    """
+    task_node = store.merged(path=f"TAU/{task_uid}")
     out: dict[int, dict[str, float]] = {}
-    task_node = merged[f"TAU/{task_uid}"]
     for _host, host_node in task_node.children():
         for rank_name, rank_node in host_node.children():
             rank = int(rank_name.replace("rank", ""))
@@ -174,6 +177,27 @@ def rank_region_breakdown(
     return out
 
 
+def rank_compute_seconds(
+    breakdown: dict[int, dict[str, float]],
+) -> list[float]:
+    """Per-rank compute seconds: every region except MPI waits."""
+    return [
+        sum(v for k, v in regions.items() if not k.startswith("MPI_"))
+        for regions in breakdown.values()
+    ]
+
+
+def breakdown_imbalance(breakdown: dict[int, dict[str, float]]) -> float:
+    """Max/mean over the per-rank compute seconds of one breakdown."""
+    if not breakdown:
+        return 0.0
+    compute = np.array(rank_compute_seconds(breakdown))
+    mean = compute.mean()
+    if mean <= 0:
+        return 0.0
+    return float(compute.max() / mean)
+
+
 def load_imbalance(store: NamespaceStore, task_uid: str) -> float:
     """Imbalance metric max/mean over per-rank *compute* time.
 
@@ -181,19 +205,7 @@ def load_imbalance(store: NamespaceStore, task_uid: str) -> float:
     ranks wait for stragglers), so total time is flat by construction
     and only the compute split reveals the imbalance (Fig 5).
     """
-    breakdown = rank_region_breakdown(store, task_uid)
-    if not breakdown:
-        return 0.0
-    compute = np.array(
-        [
-            sum(v for k, v in regions.items() if not k.startswith("MPI_"))
-            for regions in breakdown.values()
-        ]
-    )
-    mean = compute.mean()
-    if mean <= 0:
-        return 0.0
-    return float(compute.max() / mean)
+    return breakdown_imbalance(rank_region_breakdown(store, task_uid))
 
 
 def free_resource_estimate(

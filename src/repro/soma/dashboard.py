@@ -81,11 +81,11 @@ def _performance_panel(deployment: "SomaDeployment") -> str:
     store = deployment.service_model.stores.get(PERFORMANCE)
     if store is None or len(store) == 0:
         return "performance: (no data)"
-    merged = store.merged()
-    if "TAU" not in merged:
+    tau = store.merged(path="TAU")
+    if tau.is_empty:
         return "performance: (no TAU profiles)"
     rows = []
-    for task_uid, task_node in list(merged["TAU"].children())[:6]:
+    for task_uid, task_node in list(tau.children())[:6]:
         mpi = 0.0
         compute = 0.0
         ranks = 0
@@ -120,11 +120,11 @@ def _application_panel(deployment: "SomaDeployment") -> str:
     store = deployment.service_model.stores.get(APPLICATION)
     if store is None or len(store) == 0:
         return "application: (no data)"
-    merged = store.merged()
-    if "APP" not in merged:
+    app = store.merged(path="APP")
+    if app.is_empty:
         return "application: (no figures of merit)"
     rows = []
-    for task_uid, task_node in list(merged["APP"].children())[:8]:
+    for task_uid, task_node in list(app.children())[:8]:
         for metric, metric_node in task_node.children():
             values = [
                 float(sample["value"])

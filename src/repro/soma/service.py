@@ -255,7 +255,9 @@ class SomaServiceModel(ServiceModel):
             if kind == "latest":
                 return store.latest(source=source)
             if kind == "merged":
-                return store.merged(source=source, since=since, until=until)
+                return store.merged(
+                    source=source, since=since, until=until, path=body.get("path")
+                )
             if kind == "sources":
                 return sorted(store.sources())
             if kind == "stats":

@@ -116,16 +116,25 @@ class NamespaceStore:
         source: str | None = None,
         since: float | None = None,
         until: float | None = None,
+        path: str | None = None,
     ) -> Node:
         """One Conduit tree merging stored publishes in range.
 
         ``source`` narrows the merge to one publisher via the
         per-source index, so inspecting a single monitor no longer
-        pays for merging the whole namespace.
+        pays for merging the whole namespace.  ``path`` narrows it to
+        one subtree: each record contributes only its node at ``path``
+        (records without it are skipped), so the result equals the
+        node at ``path`` of the unscoped merge — or is empty when no
+        record has the path — while copying only that subtree.  Either
+        way the read goes through exactly one :meth:`records` call, so
+        the read tap sees the same sequence as for the unscoped merge.
         """
         root = Node()
         for record in self.records(source=source, since=since, until=until):
-            root.update(record.data)
+            data = record.data if path is None else record.data.find(path)
+            if data is not None:
+                root.update(data)
         return root
 
     def __iter__(self) -> Iterator[PublishedRecord]:

@@ -44,8 +44,8 @@ from ..experiments.openfoam_exps import (
 )
 from ..platform import SUMMIT
 from ..soma.analysis import (
+    breakdown_imbalance,
     cpu_utilization_series,
-    load_imbalance,
     rank_region_breakdown,
     task_state_observations,
 )
@@ -135,7 +135,7 @@ def collect_openfoam(
                 str(rank): dict(regions)
                 for rank, regions in breakdown.items()
             },
-            "imbalance": load_imbalance(store, task.uid),
+            "imbalance": breakdown_imbalance(breakdown),
         }
     task_starts: list[list] = []
     if result.deployment.enabled:

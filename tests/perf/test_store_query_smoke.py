@@ -1,11 +1,11 @@
 """Smoke test for the store-query perf bench (quick mode).
 
-Runs the per-source index microbenchmark once at CI scale and checks
-the contract the perf-regression harness depends on: stable JSON
-schema, indexed-vs-legacy answer equivalence (the guard that the
-per-source index is a pure optimization), and a conservative speedup
-floor — full-scale runs measure well over 10x; the floor leaves
-headroom for noisy shared runners.
+Runs the per-source index and path-scoped merge microbenchmarks once
+at CI scale and checks the contract the perf-regression harness
+depends on: stable JSON schema, answer equivalence against the legacy
+replica (the guard that each is a pure optimization), and a
+conservative speedup floor — full-scale runs measure well over 10x;
+the floor leaves headroom for noisy shared runners.
 """
 
 import os
@@ -35,6 +35,20 @@ def test_quick_bench_schema_equivalence_and_speedup():
     assert bench["equivalent"] is True
     assert bench["legacy"]["matched"] == bench["indexed"]["matched"]
     # Full-scale runs measure >10x; CI floor is deliberately loose.
+    assert bench["speedup"] >= 2.0
+
+
+def test_quick_merged_path_bench_equivalence_and_speedup():
+    results = bench_store_query.run_all(quick=True)
+
+    bench = results["benches"]["store_merged_path"]
+    assert bench["records"] == 2 * bench["tasks"]
+    assert bench["leaves"] > 0
+    assert bench["legacy"]["seconds"] > 0
+    assert bench["scoped"]["seconds"] > 0
+    # The scoped read returns the same subtree the whole merge held.
+    assert bench["equivalent"] is True
+    # Quick runs measure ~10x, full-scale ~40x; the floor stays loose.
     assert bench["speedup"] >= 2.0
 
 

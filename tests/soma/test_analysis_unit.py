@@ -1,5 +1,6 @@
 """Unit tests for the SOMA analysis functions on synthetic stores."""
 
+import numpy as np
 import pytest
 
 from repro.conduit import Node
@@ -162,3 +163,71 @@ class TestPerformanceAnalysis:
 
     def test_load_imbalance_missing_task_is_zero(self):
         assert load_imbalance(tau_store(), "task.999999") == 0.0
+
+
+def split_tau_store():
+    """task.000007 profiled over two publishes, beside two other tasks."""
+    store = NamespaceStore("performance")
+    for at, uid, ranks, host in (
+        (100.0, "task.000003", (0, 1), "cn0002"),
+        (110.0, "task.000007", (0, 1), "cn0001"),
+        (120.0, "task.000009", (0, 1, 2), "cn0003"),
+        (130.0, "task.000007", (2, 3), "cn0004"),
+    ):
+        tree = Node()
+        for rank in ranks:
+            base = f"TAU/{uid}/{host}/rank{rank:05d}"
+            tree[f"{base}/solve"] = 8.0 + rank + at / 100
+            tree[f"{base}/MPI_Wait"] = 4.0 - rank / 2
+        store.append(at, f"tau@{uid}", tree)
+    return store
+
+
+class TestScopedTaskReads:
+    def test_breakdown_and_imbalance_match_the_whole_store_merge(self):
+        store = split_tau_store()
+        task_node = store.merged()["TAU/task.000007"]
+        reference = {
+            int(rank_name.replace("rank", "")): {
+                region: float(leaf.value) for region, leaf in rank_node.children()
+            }
+            for _host, host_node in task_node.children()
+            for rank_name, rank_node in host_node.children()
+        }
+        compute = np.array(
+            [regions["solve"] for regions in reference.values()]
+        )
+        breakdown = rank_region_breakdown(store, "task.000007")
+        assert breakdown == reference
+        assert list(breakdown) == [0, 1, 2, 3]
+        assert load_imbalance(store, "task.000007") == float(
+            compute.max() / compute.mean()
+        )
+
+    def test_reading_one_task_copies_no_other_task(self, monkeypatch):
+        store = split_tau_store()
+        others = {
+            id(node)
+            for record in store.records()
+            for uid in ("task.000003", "task.000009")
+            if f"TAU/{uid}" in record.data
+            for node in _subtree(record.data[f"TAU/{uid}"])
+        }
+        copied = []
+        original = Node.copy
+
+        def counting_copy(self):
+            copied.append(id(self))
+            return original(self)
+
+        monkeypatch.setattr(Node, "copy", counting_copy)
+        assert rank_region_breakdown(store, "task.000007")
+        assert load_imbalance(store, "task.000007") > 1.0
+        assert copied
+        assert others.isdisjoint(copied)
+
+
+def _subtree(node):
+    yield node
+    for _name, child in node.children():
+        yield from _subtree(child)

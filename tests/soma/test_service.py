@@ -128,6 +128,38 @@ class TestServiceDeployment:
         assert len(records) == 1
         client.close()
 
+    def test_merged_query_scoped_to_path(self, stack):
+        session, client = stack
+        config = SomaConfig(namespaces=(HARDWARE,), monitors=())
+        deploy(session, client, config)
+        env = session.env
+
+        def timed_query(soma, **params):
+            start = env.now
+            body = yield from soma.query(HARDWARE, kind="merged", **params)
+            return body, env.now - start
+
+        def proc(env):
+            soma = SomaClient(session, "q-client")
+            for host, at in (("cn0001", "1.0"), ("cn0002", "1.0"), ("cn0001", "2.0")):
+                data = Node()
+                data[f"PROC/{host}/{at}/cpu_utilization"] = 0.5
+                yield from soma.publish(HARDWARE, data)
+            whole = yield from timed_query(soma)
+            scoped = yield from timed_query(soma, path="PROC/cn0001")
+            absent = yield from timed_query(soma, path="PROC/cn9999")
+            return whole, scoped, absent
+
+        (whole, whole_cost), (tree, cost), (missing, missing_cost) = env.run(
+            env.process(proc(env))
+        )
+        assert tree == whole["PROC/cn0001"]
+        assert tree.child_names() == ["1.0", "2.0"]
+        assert missing.is_empty
+        # The request/reply cost does not depend on the path.
+        assert cost == whole_cost == missing_cost
+        client.close()
+
     def test_publish_non_conduit_rejected_in_response(self, stack):
         session, client = stack
         config = SomaConfig(namespaces=(HARDWARE,), monitors=())
