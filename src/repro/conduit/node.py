@@ -26,6 +26,19 @@ __all__ = ["Node", "PathError"]
 _LEAF_TYPES = (int, float, str, bool, bytes, type(None))
 
 
+def _value_nbytes(value: Any) -> int:
+    """Serialized size of one leaf value (see :meth:`Node.nbytes`)."""
+    if isinstance(value, (str, bytes)):
+        return len(value)
+    if isinstance(value, bool) or value is None:
+        return 1
+    if isinstance(value, (int, float)):
+        return 8
+    if isinstance(value, list):
+        return 8 * len(value)
+    return 0
+
+
 class PathError(KeyError):
     """Raised for malformed or missing paths."""
 
@@ -303,23 +316,20 @@ class Node:
         """Approximate serialized size in bytes.
 
         This is the quantity the simulated RPC layer charges for when a
-        SOMA client publishes a tree, so it must be cheap and stable.
+        SOMA client publishes a tree, so it must be cheap and stable:
+        per leaf, the length of its ``/``-joined path plus its value's
+        size.  One walk adds both up without building any path string.
         """
+        return self._nbytes(0)
+
+    def _nbytes(self, path_len: int) -> int:
+        if self._has_value:
+            return path_len + _value_nbytes(self._value)
         total = 0
-        for path, value in self.leaves():
-            total += len(path)
-            if isinstance(value, str):
-                total += len(value)
-            elif isinstance(value, bytes):
-                total += len(value)
-            elif isinstance(value, bool) or value is None:
-                total += 1
-            elif isinstance(value, int):
-                total += 8
-            elif isinstance(value, float):
-                total += 8
-            elif isinstance(value, list):
-                total += 8 * len(value)
+        for name, child in self._children.items():
+            # ``prefix/name``, or just ``name`` under an empty prefix.
+            sub_len = path_len + 1 + len(name) if path_len else len(name)
+            total += child._nbytes(sub_len)
         return total
 
     def num_leaves(self) -> int:

@@ -28,6 +28,19 @@ class NodeFailure(SimulationError):
     """Raised into computations running on a node when it fails."""
 
 
+def _claim(slots: list[str | None], count: int, owner: str) -> list[int]:
+    """Give the ``count`` lowest-numbered free slots to ``owner``."""
+    claimed: list[int] = []
+    if count:
+        for index, holder in enumerate(slots):
+            if holder is None:
+                slots[index] = owner
+                claimed.append(index)
+                if len(claimed) == count:
+                    break
+    return claimed
+
+
 class Allocation:
     """A claim on cores (and optionally GPUs) of one node."""
 
@@ -74,6 +87,9 @@ class Node:
         #: core slot -> owner uid or None (only usable cores are mapped).
         self._core_owner: list[str | None] = [None] * spec.usable_cores
         self._gpu_owner: list[str | None] = [None] * spec.gpus
+        #: Count of ``None`` slots in each map, kept by allocate/free.
+        self._free_cores = spec.usable_cores
+        self._free_gpus = spec.gpus
         #: Memory-bandwidth contention domain for CPU compute.
         self.domain = ContentionDomain(env, capacity=spec.memory_bandwidth)
         #: Meters feeding the synthetic /proc.
@@ -99,11 +115,11 @@ class Node:
 
     @property
     def free_cores(self) -> int:
-        return sum(1 for owner in self._core_owner if owner is None)
+        return self._free_cores
 
     @property
     def free_gpus(self) -> int:
-        return sum(1 for owner in self._gpu_owner if owner is None)
+        return self._free_gpus
 
     def allocate(
         self, cores: int, gpus: int = 0, owner: str = "anonymous"
@@ -113,26 +129,20 @@ class Node:
             raise AllocationError(f"{self.name} is down")
         if cores < 0 or gpus < 0:
             raise ValueError("resource counts must be non-negative")
-        free_core_slots = [
-            i for i, o in enumerate(self._core_owner) if o is None
-        ]
-        free_gpu_slots = [i for i, o in enumerate(self._gpu_owner) if o is None]
-        if len(free_core_slots) < cores:
+        if self._free_cores < cores:
             raise AllocationError(
                 f"{self.name}: need {cores} cores, only "
-                f"{len(free_core_slots)} free"
+                f"{self._free_cores} free"
             )
-        if len(free_gpu_slots) < gpus:
+        if self._free_gpus < gpus:
             raise AllocationError(
                 f"{self.name}: need {gpus} GPUs, only "
-                f"{len(free_gpu_slots)} free"
+                f"{self._free_gpus} free"
             )
-        core_slots = free_core_slots[:cores]
-        gpu_slots = free_gpu_slots[:gpus]
-        for slot in core_slots:
-            self._core_owner[slot] = owner
-        for slot in gpu_slots:
-            self._gpu_owner[slot] = owner
+        core_slots = _claim(self._core_owner, cores, owner)
+        gpu_slots = _claim(self._gpu_owner, gpus, owner)
+        self._free_cores -= cores
+        self._free_gpus -= gpus
         self.allocated_cores.add(cores)
         return Allocation(self, core_slots, gpu_slots, owner)
 
@@ -143,6 +153,8 @@ class Node:
             self._core_owner[slot] = None
         for slot in allocation.gpus:
             self._gpu_owner[slot] = None
+        self._free_cores += len(allocation.cores)
+        self._free_gpus += len(allocation.gpus)
         self.allocated_cores.add(-len(allocation.cores))
         allocation.released = True
 

@@ -221,8 +221,13 @@ class SomaServiceModel(ServiceModel):
                     f"publish to {namespace!r} expects a Conduit Node, "
                     f"got {type(data).__name__}"
                 )
+            # The publisher sized the tree for the wire; store that
+            # size rather than walking the tree a second time.
             record = store.append(
-                time=self.session.env.now, source=request.client, data=data
+                time=self.session.env.now,
+                source=request.client,
+                data=data,
+                nbytes=request.payload_bytes,
             )
             self.publishes += 1
             # Storage-layer visibility: lands on the active rpc.serve

@@ -48,8 +48,12 @@ class NamespaceStore:
     def __len__(self) -> int:
         return len(self._records)
 
-    def append(self, time: float, source: str, data: Node) -> PublishedRecord:
-        nbytes = data.nbytes()
+    def append(
+        self, time: float, source: str, data: Node, nbytes: float | None = None
+    ) -> PublishedRecord:
+        """Store ``data``; ``nbytes`` is its size if the caller knows it."""
+        if nbytes is None:
+            nbytes = data.nbytes()
         record = PublishedRecord(time=time, source=source, data=data, nbytes=nbytes)
         # Publishes arrive in RPC-completion order, which is time order
         # within one environment; insort keeps us safe regardless.
