@@ -89,10 +89,10 @@ class HardwareMonitorModel(ServiceModel):
                     # mem traffic).
                     act = node.inject_jitter(cpu_seconds=SAMPLE_CPU_COST)
                     yield act.done
-                    tree = snap.to_conduit()
-                    base = f"PROC/{snap.hostname}/{snap.timestamp:.6f}"
-                    tree[f"{base}/cpu_utilization"] = round(util, 4)
-                    tree[f"{base}/gpu_utilization"] = round(gpu_util, 4)
+                    tree = snap.to_conduit(
+                        cpu_utilization=round(util, 4),
+                        gpu_utilization=round(gpu_util, 4),
+                    )
                     yield from self.client.publish(HARDWARE, tree)
         except Interrupt:
             pass

@@ -10,6 +10,8 @@ utilization has to be computed by differencing.
 
 from __future__ import annotations
 
+from typing import Any
+
 from ..conduit import Node as ConduitNode
 from .node import Node
 
@@ -72,19 +74,26 @@ class ProcSnapshot:
             return 0.0
         return max(0.0, min(1.0, d_busy / d_total))
 
-    def to_conduit(self) -> ConduitNode:
-        """Render as the Conduit tree of Listing 2."""
+    def to_conduit(self, **extra: Any) -> ConduitNode:
+        """Render as the Conduit tree of Listing 2.
+
+        ``extra`` leaves (derived metrics such as ``cpu_utilization``)
+        are set after the snapshot's own, under the same timestamp node.
+        """
         root = ConduitNode()
-        base = f"PROC/{self.hostname}/{self.timestamp:.6f}"
-        root[f"{base}/Uptime"] = round(self.uptime, 3)
-        root[f"{base}/Num Processes"] = self.num_processes
-        root[f"{base}/Available RAM"] = round(self.available_ram_mib, 1)
-        root[f"{base}/stat/cpu"] = [
+        base = root.fetch(f"PROC/{self.hostname}/{self.timestamp:.6f}")
+        base["Uptime"] = round(self.uptime, 3)
+        base["Num Processes"] = self.num_processes
+        base["Available RAM"] = round(self.available_ram_mib, 1)
+        stat = base.fetch("stat")
+        stat["cpu"] = [
             round(self.cpu_busy_jiffies, 1),
             round(self.cpu_total_jiffies - self.cpu_busy_jiffies, 1),
         ]
-        root[f"{base}/stat/ncores"] = self.ncores
-        root[f"{base}/gpu/busy_seconds"] = round(self.gpu_busy_seconds, 3)
+        stat["ncores"] = self.ncores
+        base["gpu/busy_seconds"] = round(self.gpu_busy_seconds, 3)
+        for name, value in extra.items():
+            base[name] = value
         return root
 
 

@@ -44,8 +44,10 @@ class Activity:
     Attributes
     ----------
     done:
-        Event that fires when all work has been performed.  Its value is
-        the activity itself.
+        Event that fires (with value ``None``) when all work has been
+        performed.  Carrying the activity as its value would make
+        activity -> done -> value -> activity a reference cycle, leaving
+        every finished activity to the cyclic GC.
     """
 
     _ids = itertools.count()
@@ -295,7 +297,7 @@ class RatePool:
             self._total_demand -= act.demand
         act._run_on_end()
         if not act.done.triggered:
-            act.done.succeed(act)
+            act.done.succeed()
 
     def fail_all(self, exc: BaseException) -> None:
         """Abort every active activity with ``exc`` (node failure).
@@ -327,7 +329,7 @@ class RatePool:
             act.finished_at = self.env.now
         act._run_on_end()
         if fire and not act.done.triggered:
-            act.done.succeed(act)
+            act.done.succeed()
         self._reschedule()
 
 

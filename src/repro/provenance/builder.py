@@ -318,22 +318,19 @@ def build_graph(
             raptor_calls[span.name.split(":", 1)[1]] = span.span_id
 
     # 2. Program-order anchors per container (a span, or the run root).
-    # Each anchor is (t, rank, seq, event, entry_kind): child span starts
-    # and capture events assigned to the container, sorted by time with
-    # a deterministic tie-break, then chained sequentially.
-    anchors: dict[int | None, list[tuple[float, int, int, ProvEvent, str]]] = {}
+    # Each anchor is (t, rank, eid): child span starts and capture events
+    # assigned to the container, sorted by time with a deterministic
+    # tie-break, then chained sequentially by "program" edges.  Anchors
+    # hold event ids, not events, so the cyclic GC untracks them.
+    anchors: dict[int | None, list[tuple[float, int, int]]] = {}
 
-    def anchor(
-        container: int | None, event: ProvEvent, entry_kind: str, rank: int
-    ) -> None:
+    def anchor(container: int | None, event: ProvEvent, rank: int) -> None:
         if container is not None and container not in starts:
             container = None
-        anchors.setdefault(container, []).append(
-            (event.t, rank, event.eid, event, entry_kind)
-        )
+        anchors.setdefault(container, []).append((event.t, rank, event.eid))
 
     for span in hub.spans:
-        anchor(span.parent_id, starts[span.span_id], "program", 0)
+        anchor(span.parent_id, starts[span.span_id], 0)
 
     # 3. Capture events.
     sends_by_uid: dict[str, ProvEvent] = {}
@@ -344,7 +341,7 @@ def build_graph(
                 client=client,
             )
             sends_by_uid[uid] = ev
-            anchor(span_id, ev, "program", 1)
+            anchor(span_id, ev, 1)
         for uid, server, arrival, granted, serve_id in capture.rpc_serves:
             grant_ev = g.add_event(
                 "rpc.grant", granted, f"rpc.grant:{server}", ref=uid,
@@ -366,14 +363,14 @@ def build_graph(
                 ref=f"{name}/{source}", component="soma-service", nbytes=nbytes,
             )
             writes_by_key[(sid, t, source)] = ev
-            anchor(span_id, ev, "program", 1)
+            anchor(span_id, ev, 1)
         for sid, name, op, source, t, span_id, matched, count in capture.store_reads:
             ev = g.add_event(
                 "store.read", t, f"store.read:{name}",
                 ref=f"{name}/{source or '*'}", component="soma-service",
                 op=op, records=count,
             )
-            anchor(span_id, ev, "program", 1)
+            anchor(span_id, ev, 1)
             write_ev = writes_by_key.get(matched) if matched is not None else None
             if write_ev is not None and write_ev.t <= t:
                 g.add_edge(write_ev, ev, "wait-on-store", records=count)
@@ -399,7 +396,7 @@ def build_graph(
                 component="raptor",
             )
             submits_by_uid[uid] = ev
-            anchor(span_id, ev, "program", 1)
+            anchor(span_id, ev, 1)
         for uid, worker_uid, t in capture.raptor_dispatches:
             ev = g.add_event(
                 "raptor.dispatch", t, f"raptor.dispatch:{uid}", ref=str(uid),
@@ -418,15 +415,16 @@ def build_graph(
     # closing edge is skipped when the last anchor outlives it (e.g. a
     # duplicate RPC served after the originating attempt failed).
     for container, entries in anchors.items():
-        entries.sort(key=lambda entry: entry[:3])
+        entries.sort()
         if container is None:
             prev: ProvEvent = root
             close_ev: ProvEvent = end
         else:
             prev = starts[container]
             close_ev = ends[container]
-        for _t, _rank, _seq, event, entry_kind in entries:
-            g.add_edge(prev, event, entry_kind)
+        for _t, _rank, eid in entries:
+            event = g.events[eid]
+            g.add_edge(prev, event, "program")
             prev = event
         if prev.t <= close_ev.t:
             g.add_edge(prev, close_ev, "program" if container is not None else "run")
@@ -463,16 +461,23 @@ def build_graph(
             g.add_edge(fend, end, "run")
             windows.append((fe.kind, t0, t1))
     if windows:
-        for edge in g.edges:
-            if edge.kind not in _FAULT_ANNOTATED_KINDS or edge.duration <= 0:
+        cols = g.edges
+        for index, (edge_kind, t_src, t_dst) in enumerate(
+            zip(cols.kind, cols.t_src, cols.t_dst)
+        ):
+            if edge_kind not in _FAULT_ANNOTATED_KINDS or t_dst - t_src <= 0:
                 continue
             overlapping = [
                 f"{kind}@[{t0:g},{t1:g})"
                 for kind, t0, t1 in windows
-                if t0 < edge.t_dst and t1 > edge.t_src
+                if t0 < t_dst and t1 > t_src
             ]
             if overlapping:
-                edge.attrs["faults"] = overlapping
+                attrs = cols.attrs[index]
+                if attrs is None:
+                    cols.attrs[index] = {"faults": overlapping}
+                else:
+                    attrs["faults"] = overlapping
 
     if close and capture is not None:
         capture.close()

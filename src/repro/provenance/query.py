@@ -41,13 +41,15 @@ KIND_PRIORITY: dict[str, int] = {
 
 def last_constraint(graph: ProvGraph, event: ProvEvent) -> ProvEdge | None:
     """The incoming edge that held ``event`` back the longest."""
-    best: ProvEdge | None = None
+    edges = graph.edges
+    t_src, kind, src = edges.t_src, edges.kind, edges.src
+    best: int | None = None
     best_key: tuple[float, int, int] | None = None
-    for edge in graph.in_edges(event):
-        key = (edge.t_src, KIND_PRIORITY.get(edge.kind, 0), -edge.src)
+    for index in graph.in_edge_ids(event):
+        key = (t_src[index], KIND_PRIORITY.get(kind[index], 0), -src[index])
         if best_key is None or key > best_key:
-            best, best_key = edge, key
-    return best
+            best, best_key = index, key
+    return None if best is None else edges[best]
 
 
 def why_chain(

@@ -46,9 +46,10 @@ def validate_graph(graph: ProvGraph) -> list[GraphViolation]:
     """Check every invariant; returns the violations (empty = valid)."""
     violations: list[GraphViolation] = []
 
-    bad_hb = [edge for edge in graph.edges if edge.t_src > edge.t_dst]
+    t_src, t_dst = graph.edges.t_src, graph.edges.t_dst
+    bad_hb = [i for i, (t0, t1) in enumerate(zip(t_src, t_dst)) if t0 > t1]
     if bad_hb:
-        worst = max(bad_hb, key=lambda e: e.t_src - e.t_dst)
+        worst = graph.edges[max(bad_hb, key=lambda i: t_src[i] - t_dst[i])]
         violations.append(
             GraphViolation(
                 "happens-before",
@@ -64,9 +65,7 @@ def validate_graph(graph: ProvGraph) -> list[GraphViolation]:
             GraphViolation("acyclic", "graph contains at least one cycle")
         )
 
-    rootless = [
-        event for event in graph.events if not graph.in_edges(event)
-    ]
+    rootless = [event for event in graph.events if not graph.in_degree(event)]
     expected_root = [graph.root] if graph.root is not None else []
     if rootless != expected_root:
         labels = ", ".join(e.label for e in rootless[:5]) or "(none)"

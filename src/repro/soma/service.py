@@ -29,6 +29,7 @@ from .sharding import (
     ShardRouter,
     instance_names,
     shard_key,
+    shared_ring,
 )
 from .storage import NamespaceStore
 
@@ -111,9 +112,10 @@ class SomaConfig:
         )
 
     def make_ring(self) -> HashRing:
+        """The deployment's ring, shared read-only by service and clients."""
         if not self.sharded:
             raise ValueError("single-instance SOMA config has no ring")
-        return HashRing(self.instance_names, vnodes=self.ring_vnodes)
+        return shared_ring(self.instance_names, vnodes=self.ring_vnodes)
 
     def make_router(self) -> ShardRouter:
         """The client-side router matching this deployment's layout."""

@@ -41,6 +41,7 @@ __all__ = [
     "TokenBucket",
     "instance_names",
     "shard_key",
+    "shared_ring",
 ]
 
 #: Default virtual nodes per instance.  128 vnodes keeps the max/mean
@@ -89,6 +90,8 @@ class HashRing:
         self._points: list[tuple[int, str]] = []
         self._positions: list[int] = []
         self._instances: set[str] = set()
+        #: Set by :func:`shared_ring`: membership can no longer change.
+        self._read_only = False
         for name in instances:
             self.add(name)
 
@@ -108,8 +111,15 @@ class HashRing:
             for v in range(self.vnodes)
         ]
 
+    def _check_writable(self) -> None:
+        if self._read_only:
+            raise ValueError(
+                "shared ring is read-only; build a HashRing to change membership"
+            )
+
     def add(self, instance: str) -> None:
         """Join an instance; only keys on its vnode arcs change owner."""
+        self._check_writable()
         if instance in self._instances:
             raise ValueError(f"instance {instance!r} already on the ring")
         self._instances.add(instance)
@@ -119,6 +129,7 @@ class HashRing:
 
     def remove(self, instance: str) -> None:
         """Leave the ring; its keys fall to the next vnode clockwise."""
+        self._check_writable()
         if instance not in self._instances:
             raise ValueError(f"instance {instance!r} not on the ring")
         self._instances.discard(instance)
@@ -140,6 +151,29 @@ class HashRing:
         for key in keys:
             counts[self.owner(key)] += 1
         return counts
+
+
+#: Read-only rings by (instance names, vnodes); see :func:`shared_ring`.
+_SHARED_RINGS: dict[tuple[tuple[str, ...], int], HashRing] = {}
+
+
+def shared_ring(
+    instances: Iterable[str], vnodes: int = DEFAULT_VNODES
+) -> HashRing:
+    """The one read-only ring for a layout, shared process-wide.
+
+    Every client of a deployment routes with the same ring, so its
+    vnode points are hashed and sorted once per ``(instances, vnodes)``
+    instead of once per client.  ``add``/``remove`` on the shared ring
+    raise, so no client can change another's placement.
+    """
+    key = (tuple(instances), vnodes)
+    ring = _SHARED_RINGS.get(key)
+    if ring is None:
+        ring = HashRing(key[0], vnodes)
+        ring._read_only = True
+        _SHARED_RINGS[key] = ring
+    return ring
 
 
 class TokenBucket:

@@ -1,8 +1,11 @@
 """Rate-shared execution: fair channels and contention domains."""
 
+import gc
+
 import pytest
 
-from repro.platform.rateshare import ContentionDomain, FairShareChannel
+from repro.platform.rateshare import Activity, ContentionDomain, FairShareChannel
+from repro.sim import Environment
 
 
 def finish(env, pool_activity, box, key):
@@ -150,3 +153,31 @@ class TestContentionDomain:
             assert act.progress == pytest.approx(1.0)
 
         env.run(env.process(check(env)))
+
+
+@pytest.mark.parametrize("pool_type", [FairShareChannel, ContentionDomain])
+def test_finished_activities_are_freed_without_the_cyclic_gc(pool_type):
+    """``done`` does not carry the activity back as its value, so no
+    activity -> done -> activity cycle keeps a finished one alive until
+    the cyclic GC runs: with the GC off, none survives the run."""
+
+    def worker(pool, i):
+        for k in range(5):
+            act = pool.execute(work=float(1 + (i + k) % 7), demand=1.0)
+            yield act.done
+
+    gc.disable()
+    try:
+        env = Environment()
+        pool = pool_type(env, capacity=4.0)
+        for i in range(40):
+            env.process(worker(pool, i))
+        env.run()
+        assert pool.delivered > 0
+        alive = [
+            o for o in gc.get_objects()
+            if isinstance(o, Activity) and o.pool is pool
+        ]
+        assert alive == []
+    finally:
+        gc.enable()

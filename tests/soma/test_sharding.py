@@ -36,6 +36,7 @@ from repro.soma.sharding import (
     TokenBucket,
     instance_names,
     shard_key,
+    shared_ring,
 )
 
 #: Configurable balance bound: max/mean shard load over 10³ keys.  128
@@ -177,6 +178,30 @@ def test_ring_edge_cases():
         HashRing(vnodes=0)
     assert instance_names(3) == ("s00", "s01", "s02")
     assert "solo" in ring and len(ring) == 1
+
+
+def test_shared_ring_is_one_read_only_ring_per_layout():
+    from repro.soma import SomaConfig
+
+    names = instance_names(4)
+    ring = shared_ring(names)
+    assert shared_ring(names) is ring
+    assert shared_ring(names, vnodes=16) is not ring
+    keys = thousand_keys("shared")
+    assert ownership(ring, keys) == ownership(HashRing(names), keys)
+    # Membership changes raise instead of moving every client's keys.
+    with pytest.raises(ValueError, match="read-only"):
+        ring.add("s99")
+    with pytest.raises(ValueError, match="read-only"):
+        ring.remove("s00")
+    assert ring.instances == names
+    # A private ring with the same layout stays independently mutable.
+    private = HashRing(names)
+    private.remove("s00")
+    assert "s00" in ring and "s00" not in private
+    config = SomaConfig(shards=4)
+    assert config.make_router().ring is config.make_router().ring
+    assert config.make_ring() is shared_ring(names, config.ring_vnodes)
 
 
 def test_router_names():
