@@ -251,108 +251,97 @@ class RPCServer:
     ) -> Generator[Event, None, RPCResponse]:
         """Server-side handling: queue for a rank, work, reply."""
         tel = self.env._telemetry
-        if tel is None:
-            # Telemetry off: no wrapper frame on the hot path.
-            return self._serve_inner(request)
-        return self._serve_traced(tel, request)
-
-    def _serve_traced(
-        self, tel: Any, request: RPCRequest
-    ) -> Generator[Event, None, RPCResponse]:
-        # The request envelope carries the caller's context across the
-        # simulated wire, so server work joins the caller's trace even
-        # though no process ancestry links them.
-        span = tel.start_span(
-            f"rpc.serve:{request.method}",
-            component=self.component,
-            parent=request.ctx,
-            activate=True,
-            server=self.name,
-        )
-        try:
-            response = yield from self._serve_inner(request)
-            return response
-        finally:
-            tel.end_span(span)
-
-    def _serve_inner(
-        self, request: RPCRequest
-    ) -> Generator[Event, None, RPCResponse]:
-        if not self.alive:
-            # Arrived after a shutdown (in-flight during an outage).
-            self.stats.errors += 1
-            raise ServiceUnavailable(f"server {self.name} is shut down")
-        if self.admission is not None and not self.admission(request):
-            self.stats.rejections += 1
-            raise AdmissionRejected(
-                f"server {self.name} rejected {request.method!r} "
-                f"from tenant {request.tenant!r} (over budget)"
+        prov = None
+        span = None
+        if tel is not None:
+            prov = tel.provenance
+            # The request envelope carries the caller's context across
+            # the simulated wire, so server work joins the caller's
+            # trace even though no process ancestry links them.
+            span = tel.start_span(
+                f"rpc.serve:{request.method}",
+                component=self.component,
+                parent=request.ctx,
+                activate=True,
+                server=self.name,
             )
-        arrival = self.env.now
-        tel = self.env._telemetry
-        prov = tel.provenance if tel is not None else None
-        with self._workers.request() as slot:
-            yield slot
-            queue_time = self.env.now - arrival
-            if prov is not None:
-                prov.note_rpc_serve(
-                    request.uid, self.name, arrival, self.env.now
-                )
-            handler = self._handlers.get(request.method)
-            if handler is None:
+        try:
+            if not self.alive:
+                # Arrived after a shutdown (in-flight during an outage).
                 self.stats.errors += 1
+                raise ServiceUnavailable(f"server {self.name} is shut down")
+            if self.admission is not None and not self.admission(request):
+                self.stats.rejections += 1
+                raise AdmissionRejected(
+                    f"server {self.name} rejected {request.method!r} "
+                    f"from tenant {request.tenant!r} (over budget)"
+                )
+            arrival = self.env.now
+            with self._workers.request() as slot:
+                yield slot
+                queue_time = self.env.now - arrival
+                if prov is not None:
+                    prov.note_rpc_serve(
+                        request.uid, self.name, arrival, self.env.now
+                    )
+                handler = self._handlers.get(request.method)
+                if handler is None:
+                    self.stats.errors += 1
+                    return RPCResponse(
+                        request_uid=request.uid,
+                        ok=False,
+                        body=RPCError(f"no such method {request.method!r}"),
+                        served_by=self.name,
+                        queue_time=queue_time,
+                    )
+                service_time = self.service_time_for(request.payload_bytes)
+                start = self.env.now
+                try:
+                    if self.node is not None and service_time > 0:
+                        act = self.node.run_compute(
+                            cores=1,
+                            work=service_time * self.node.spec.core_speed,
+                            mem_intensity=0.2,
+                            tag=f"rpc:{self.name}",
+                        )
+                        yield act.done
+                    elif service_time > 0:
+                        yield self.env.timeout(service_time)
+                except NodeFailure as exc:
+                    # The hosting node died mid-service: to the caller
+                    # this is an outage, not a handler bug.
+                    self.stats.errors += 1
+                    raise ServiceUnavailable(
+                        f"server {self.name} lost its node: {exc}"
+                    ) from exc
+                try:
+                    body = handler(request)
+                    ok = True
+                except Interrupt:
+                    # No yield inside this try, so the kernel cannot
+                    # deliver cancellation here — but an Interrupt raised
+                    # through a nested frame is still cancellation and
+                    # must propagate rather than become an error response.
+                    raise
+                except Exception as exc:  # handler bug → error response
+                    body = exc
+                    ok = False
+                    self.stats.errors += 1
+                elapsed = self.env.now - start
+                self.stats.note_call(
+                    self.env.now, queue_time, elapsed, request.payload_bytes
+                )
                 return RPCResponse(
                     request_uid=request.uid,
-                    ok=False,
-                    body=RPCError(f"no such method {request.method!r}"),
+                    ok=ok,
+                    body=body,
                     served_by=self.name,
+                    service_time=elapsed,
                     queue_time=queue_time,
                 )
-            service_time = self.service_time_for(request.payload_bytes)
-            start = self.env.now
-            try:
-                if self.node is not None and service_time > 0:
-                    act = self.node.run_compute(
-                        cores=1,
-                        work=service_time * self.node.spec.core_speed,
-                        mem_intensity=0.2,
-                        tag=f"rpc:{self.name}",
-                    )
-                    yield act.done
-                elif service_time > 0:
-                    yield self.env.timeout(service_time)
-            except NodeFailure as exc:
-                # The hosting node died mid-service: to the caller this
-                # is an outage, not a handler bug.
-                self.stats.errors += 1
-                raise ServiceUnavailable(
-                    f"server {self.name} lost its node: {exc}"
-                ) from exc
-            try:
-                body = handler(request)
-                ok = True
-            except Interrupt:
-                # No yield inside this try, so the kernel cannot deliver
-                # cancellation here — but an Interrupt raised through a
-                # nested frame is still cancellation and must propagate
-                # rather than become an error response.
-                raise
-            except Exception as exc:  # handler bug → error response
-                body = exc
-                ok = False
-                self.stats.errors += 1
-            elapsed = self.env.now - start
-            self.stats.note_call(
-                self.env.now, queue_time, elapsed, request.payload_bytes
-            )
-            return RPCResponse(
-                request_uid=request.uid,
-                ok=ok,
-                body=body,
-                served_by=self.name,
-                service_time=elapsed,
-                queue_time=queue_time,
-            )
+        finally:
+            if span is not None:
+                tel.end_span(span)
 
 
 class RPCClient:
@@ -413,7 +402,7 @@ class RPCClient:
         if retry is not None:
 
             def attempt() -> Generator[Event, None, RPCResponse]:
-                return self._call_once(server, method, body, payload_bytes)
+                return self._attempt(server, method, body, payload_bytes)
 
             def note_retry(attempt_no: int, delay: float, exc: BaseException) -> None:
                 self.retries += 1
@@ -430,7 +419,7 @@ class RPCClient:
             try:
                 result = yield from with_timeout(
                     self.env,
-                    self._call_once(server, method, body, payload_bytes),
+                    self._attempt(server, method, body, payload_bytes),
                     timeout,
                     name=f"rpc:{method}",
                 )
@@ -439,48 +428,8 @@ class RPCClient:
                 self.failures += 1
                 raise RPCTimeout(str(exc)) from None
             return result
-        result = yield from self._call_once(server, method, body, payload_bytes)
+        result = yield from self._attempt(server, method, body, payload_bytes)
         return result
-
-    def _call_once(
-        self,
-        server: RPCServer,
-        method: str,
-        body: Any = None,
-        payload_bytes: float = 1024.0,
-    ) -> Generator[Event, None, RPCResponse]:
-        """One bare attempt: serialize, cross the wire, serve, reply."""
-        tel = self.env._telemetry
-        if tel is None:
-            # Telemetry off: hand back the bare attempt generator, no
-            # extra delegation frame on the hot path.
-            return self._attempt(server, method, body, payload_bytes, None)
-        return self._call_traced(tel, server, method, body, payload_bytes)
-
-    def _call_traced(
-        self,
-        tel: Any,
-        server: RPCServer,
-        method: str,
-        body: Any,
-        payload_bytes: float,
-    ) -> Generator[Event, None, RPCResponse]:
-        # One span per attempt; retried calls show one span each, and
-        # the try/finally closes it exactly once even when with_timeout
-        # cancels this generator mid-yield.
-        span = tel.start_span(
-            f"rpc.attempt:{method}",
-            component=self.component,
-            activate=True,
-            server=server.name,
-        )
-        try:
-            response = yield from self._attempt(
-                server, method, body, payload_bytes, span
-            )
-            return response
-        finally:
-            tel.end_span(span)
 
     def _attempt(
         self,
@@ -488,92 +437,107 @@ class RPCClient:
         method: str,
         body: Any,
         payload_bytes: float,
-        span: Any,
     ) -> Generator[Event, None, RPCResponse]:
-        if not server.alive:
-            self.failures += 1
-            raise ServiceUnavailable(
-                f"server {server.name} is not accepting calls"
-            )
-        start = self.env.now
-        request = RPCRequest(
-            method=method,
-            payload_bytes=payload_bytes,
-            body=body,
-            client=self.name,
-            sent_at=start,
-            tenant=self.tenant,
-        )
-        if span is not None:
-            request.ctx = span.context
+        """One attempt: serialize, cross the wire, serve, reply."""
         tel = self.env._telemetry
-        if tel is not None and tel.provenance is not None:
-            tel.provenance.note_rpc_send(
-                request.uid, method, self.name, start, span
+        prov = None
+        span = None
+        if tel is not None:
+            prov = tel.provenance
+            # One span per attempt; retried calls show one span each, and
+            # the finally closes it exactly once even when with_timeout
+            # cancels this generator mid-yield.
+            span = tel.start_span(
+                f"rpc.attempt:{method}",
+                component=self.component,
+                activate=True,
+                server=server.name,
             )
-        # Client-side serialization cost (charged on our node if any).
-        ser = payload_bytes * self.serialize_cost_per_byte
-        if ser > 0 and self.node is not None:
-            act = self.node.inject_jitter(cpu_seconds=ser)
-            yield act.done
-        elif ser > 0:
-            yield self.env.timeout(ser)
-        # Message-level fault gate (drop/delay/duplicate), if injected.
-        faults = self.network.message_faults
-        decision = faults.draw(method) if faults is not None else None
-        if decision is not None and decision.delay > 0:
-            yield self.env.timeout(decision.delay)
-        # Request over the wire.
-        yield from self.network.transfer(
-            payload_bytes,
-            messages=1,
-            tag=f"rpc:{method}",
-            src=self.node,
-            dst=server.node,
-        )
-        if decision is not None and decision.action == "drop_request":
-            # The request is lost in transit; the caller only learns
-            # after its transport timeout expires.
-            self.failures += 1
-            self.timeouts += 1
-            yield self.env.timeout(faults.drop_stall)
-            raise RPCTimeout(f"rpc:{method}: request dropped in transit")
-        if decision is not None and decision.action == "duplicate":
-            duplicate = RPCRequest(
+        try:
+            if not server.alive:
+                self.failures += 1
+                raise ServiceUnavailable(
+                    f"server {server.name} is not accepting calls"
+                )
+            start = self.env.now
+            request = RPCRequest(
                 method=method,
                 payload_bytes=payload_bytes,
                 body=body,
                 client=self.name,
                 sent_at=start,
-                ctx=request.ctx,
                 tenant=self.tenant,
             )
-            self.env.process(
-                _swallow(server._serve(duplicate)),
-                name=f"rpc-dup-{duplicate.uid}",
+            if span is not None:
+                request.ctx = span.context
+            if prov is not None:
+                prov.note_rpc_send(request.uid, method, self.name, start, span)
+            # Client-side serialization cost (charged on our node if any).
+            ser = payload_bytes * self.serialize_cost_per_byte
+            if ser > 0 and self.node is not None:
+                act = self.node.inject_jitter(cpu_seconds=ser)
+                yield act.done
+            elif ser > 0:
+                yield self.env.timeout(ser)
+            # Message-level fault gate (drop/delay/duplicate), if injected.
+            faults = self.network.message_faults
+            decision = faults.draw(method) if faults is not None else None
+            if decision is not None and decision.delay > 0:
+                yield self.env.timeout(decision.delay)
+            # Request over the wire.
+            yield from self.network.transfer(
+                payload_bytes,
+                messages=1,
+                tag=f"rpc:{method}",
+                src=self.node,
+                dst=server.node,
             )
-        # Server-side processing.
-        response = yield from server._serve(request)
-        # Response back over the wire.
-        yield from self.network.transfer(
-            RESPONSE_BYTES,
-            messages=1,
-            tag=f"rpc:{method}:resp",
-            src=server.node,
-            dst=self.node,
-        )
-        if decision is not None and decision.action == "drop_response":
-            self.failures += 1
-            self.timeouts += 1
-            yield self.env.timeout(faults.drop_stall)
-            raise RPCTimeout(f"rpc:{method}: response dropped in transit")
-        self.calls += 1
-        rtt = self.env.now - start
-        self.total_rtt += rtt
-        if not response.ok and isinstance(response.body, RPCError):
-            self.failures += 1
-            raise response.body
-        return response
+            if decision is not None and decision.action == "drop_request":
+                # The request is lost in transit; the caller only learns
+                # after its transport timeout expires.
+                self.failures += 1
+                self.timeouts += 1
+                yield self.env.timeout(faults.drop_stall)
+                raise RPCTimeout(f"rpc:{method}: request dropped in transit")
+            if decision is not None and decision.action == "duplicate":
+                duplicate = RPCRequest(
+                    method=method,
+                    payload_bytes=payload_bytes,
+                    body=body,
+                    client=self.name,
+                    sent_at=start,
+                    ctx=request.ctx,
+                    tenant=self.tenant,
+                )
+                self.env.process(
+                    _swallow(server._serve(duplicate)),
+                    name=f"rpc-dup-{duplicate.uid}",
+                )
+            # Server-side processing.
+            response = yield from server._serve(request)
+            # Response back over the wire.
+            yield from self.network.transfer(
+                RESPONSE_BYTES,
+                messages=1,
+                tag=f"rpc:{method}:resp",
+                src=server.node,
+                dst=self.node,
+            )
+            if decision is not None and decision.action == "drop_response":
+                self.failures += 1
+                self.timeouts += 1
+                yield self.env.timeout(faults.drop_stall)
+                raise RPCTimeout(f"rpc:{method}: response dropped in transit")
+            self.calls += 1
+            rtt = self.env.now - start
+            self.total_rtt += rtt
+            if not response.ok and isinstance(response.body, RPCError):
+                self.failures += 1
+                raise response.body
+            return response
+        finally:
+            if span is not None:
+                tel.end_span(span)
 
     @property
     def mean_rtt(self) -> float:

@@ -385,14 +385,3 @@ class ContentionDomain(RatePool):
         overload = max(1.0, self._total_demand / self.capacity)
         slowdown = (1.0 - act.mem_intensity) + act.mem_intensity * overload
         return self.speed_factor * act.weight / slowdown
-
-    def slowdown_of(self, act: Activity) -> float:
-        overload = max(1.0, self._total_demand / self.capacity)
-        return (1.0 - act.mem_intensity) + act.mem_intensity * overload
-
-
-def effective_time(work: float, rate: float) -> float:
-    """Helper: time to complete ``work`` at constant ``rate``."""
-    if rate <= 0:
-        return math.inf
-    return work / rate

@@ -72,10 +72,6 @@ class AgentExecutor:
             return True
         return False
 
-    @property
-    def num_resident_services(self) -> int:
-        return sum(1 for p in self._service_procs.values() if p.is_alive)
-
     # -- internals ---------------------------------------------------------
 
     def _run(self) -> Generator[Event, object, None]:

@@ -101,10 +101,6 @@ class AgentScheduler:
         if self._proc.is_alive:
             self._proc.interrupt("scheduler-stop")
 
-    @property
-    def num_waiting(self) -> int:
-        return len(self._waiting) + len(self._inbox)
-
     # -- main loop ----------------------------------------------------------
 
     def _run(self) -> Generator[Event, object, None]:
@@ -234,7 +230,7 @@ class AgentScheduler:
                     gpus=list(allocation.gpus),
                 )
             self.scheduled_count += 1
-            prov = getattr(self.session.telemetry, "provenance", None)
+            prov = self.session.telemetry.provenance
             if prov is not None:
                 prov.note_grant(task.uid, self.env.now, task.nodelist)
             self._end_schedule_span(

@@ -151,10 +151,11 @@ class RaptorMaster:
         call.done = self.env.event()
         call.submitted_at = self.env.now
         tel = self.env._telemetry
-        if tel is not None and call.ctx is None:
-            call.ctx = tel.current()
-        if tel is not None and tel.provenance is not None:
-            tel.provenance.note_raptor_submit(call.uid, self.env.now, call.ctx)
+        if tel is not None:
+            if call.ctx is None:
+                call.ctx = tel.current()
+            if tel.provenance is not None:
+                tel.provenance.note_raptor_submit(call.uid, self.env.now, call.ctx)
         self._backlog.append(call)
         self._pump()
         return call.done

@@ -455,10 +455,6 @@ class Environment:
         return self._queue.next_time()
 
     @property
-    def queue_size(self) -> int:
-        return len(self._queue)
-
-    @property
     def event_queue_backend(self) -> str:
         """Name of the active scheduling backend (``heap``/``calendar``)."""
         return self._queue.backend

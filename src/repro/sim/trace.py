@@ -9,7 +9,7 @@ overhead accounting) has a single source of truth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterator
 
 from .core import Environment
 
@@ -103,9 +103,6 @@ class Tracer:
 
     def categories(self) -> set[str]:
         return {rec.category for rec in self._records}
-
-    def extend(self, records: Iterable[TraceRecord]) -> None:
-        self._records.extend(records)
 
     def clear(self) -> None:
         self._records.clear()

@@ -162,7 +162,7 @@ class SomaServiceModel(ServiceModel):
         env = session.env
         self.servers: "dict[str, RPCServer]" = env.shared_dict("soma.servers")
         self.stores: "dict[str, NamespaceStore]" = env.shared_dict("soma.stores")
-        prov = getattr(session.telemetry, "provenance", None)
+        prov = session.telemetry.provenance
         for ns in config.namespaces:
             store = NamespaceStore(ns)
             if prov is not None:
@@ -334,7 +334,7 @@ class ShardedSomaServiceModel(SomaServiceModel):
         self.ring = config.make_ring()
         #: Per-instance admission controllers (empty when disabled).
         self.admission: dict[str, AdmissionController] = {}
-        prov = getattr(session.telemetry, "provenance", None)
+        prov = session.telemetry.provenance
         for instance in config.instance_names:
             for ns in config.namespaces:
                 store = NamespaceStore(ns)

@@ -32,7 +32,7 @@ telemetry on or off.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterator
 
@@ -62,19 +62,8 @@ _DEFAULT_TELEMETRY: bool | None = None
 _ACTIVE: "list[Telemetry]" = []
 
 
-class _NullSpanManager:
-    """Shared do-nothing ``with`` target for disabled hubs."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc: object) -> bool:
-        return False
-
-
-_NULL_SPAN = _NullSpanManager()
+#: Shared do-nothing ``with`` target for disabled hubs.
+_NULL_SPAN = nullcontext()
 
 
 def set_default_telemetry(enabled: bool | None) -> bool | None:

@@ -168,3 +168,89 @@ class TestRegistry:
         registry.publish(server)
         assert registry.try_lookup("svc") is server
         assert registry.names() == ["svc"]
+
+
+def _run_case(case, hub):
+    """Drive one RPC failure case; return its outcome and the hub.
+
+    The outcome holds everything a caller can observe: what the call
+    returned or raised, when, and the client and server counters.
+    """
+    from repro.telemetry import Telemetry
+
+    env = Environment()
+    tel = Telemetry(env, enabled=hub)
+    cluster = Cluster(env, summit_like(2))
+    admission = (lambda request: False) if case == "rejected" else None
+    server = make_server(env, cluster, admission=admission)
+    client = RPCClient(env, cluster.network, "c1", serialize_cost_per_byte=0.0)
+    method = "nope" if case == "unknown_method" else "echo"
+    timeout = None
+    nbytes = 100.0
+    if case == "timeout_mid_wire":
+        # Expires while the request is still crossing the fabric.
+        nbytes = 1e10
+        timeout = 1e-3
+    if case == "shut_down":
+        server.shutdown()
+
+    def caller(env):
+        try:
+            response = yield from client.call(
+                server, method, payload_bytes=nbytes, timeout=timeout
+            )
+        except RPCError as exc:
+            return ("raised", type(exc).__name__, str(exc), env.now)
+        return ("returned", response.ok, response.body, env.now)
+
+    def shut_down_in_flight(env):
+        yield env.timeout(1e-9)
+        server.shutdown()
+
+    proc = env.process(caller(env))
+    if case == "shut_down_in_flight":
+        env.process(shut_down_in_flight(env))
+    result = env.run(proc)
+    env.run()
+    outcome = (
+        result,
+        env.now,
+        (client.calls, client.failures, client.timeouts),
+        server.stats.snapshot(),
+    )
+    return outcome, tel
+
+
+#: case -> (exception raised by the call, rpc.serve spans expected).
+RPC_FAILURE_CASES = {
+    "shut_down": ("ServiceUnavailable", 0),
+    "shut_down_in_flight": ("ServiceUnavailable", 1),
+    "rejected": ("AdmissionRejected", 1),
+    "unknown_method": ("RPCError", 1),
+    "timeout_mid_wire": ("RPCTimeout", 0),
+}
+
+
+class TestRPCSpansDoNotChangeOutcomes:
+    """One attempt/serve generator pair serves traced and untraced runs."""
+
+    @pytest.mark.parametrize("hub", [False, True], ids=["hub_off", "hub_on"])
+    @pytest.mark.parametrize("case", sorted(RPC_FAILURE_CASES))
+    def test_outcome_and_spans(self, case, hub):
+        raised, serves_expected = RPC_FAILURE_CASES[case]
+        outcome, tel = _run_case(case, hub)
+        assert outcome[0][:2] == ("raised", raised)
+        reference, _ = _run_case(case, hub=False)
+        assert outcome == reference
+        if not hub:
+            assert tel.spans == []
+            return
+        attempts = [s for s in tel.spans if s.name.startswith("rpc.attempt:")]
+        serves = [s for s in tel.spans if s.name.startswith("rpc.serve:")]
+        assert len(attempts) == 1
+        assert attempts[0].closed
+        assert len(serves) == serves_expected
+        for serve in serves:
+            assert serve.closed
+            assert serve.parent_id == attempts[0].span_id
+            assert serve.trace_id == attempts[0].trace_id

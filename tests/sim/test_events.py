@@ -1,9 +1,9 @@
-"""Condition events: AllOf / AnyOf semantics."""
+"""Condition events: AllOf / AnyOf semantics, and the with_timeout race."""
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Environment
-from repro.sim.events import ConditionValue
+from repro.sim import AllOf, AnyOf, Environment, Interrupt
+from repro.sim.events import ConditionValue, TimeoutExpired, with_timeout
 
 
 class TestAnyOf:
@@ -112,3 +112,57 @@ class TestConditionValue:
 
     def test_todict_empty(self):
         assert ConditionValue().todict() == {}
+
+
+class TestWithTimeout:
+    def test_child_wins_and_losing_clock_is_tombstoned(self, env):
+        def child(env):
+            yield env.timeout(1)
+            return "done"
+
+        def proc(env):
+            result = yield from with_timeout(env, child(env), 5.0, name="c")
+            return (env.now, result)
+
+        assert env.run(env.process(proc(env))) == (1.0, "done")
+        assert env.tombstones_skipped == 0
+        env.run()
+        # The clock still sat in the queue; draining skips it uncounted
+        # as an executed event.
+        assert env.tombstones_skipped == 1
+
+    def test_child_failure_is_reraised_and_clock_tombstoned(self, env):
+        def child(env):
+            yield env.timeout(1)
+            raise KeyError("child")
+
+        def proc(env):
+            with pytest.raises(KeyError):
+                yield from with_timeout(env, child(env), 5.0)
+            return env.now
+
+        assert env.run(env.process(proc(env))) == 1.0
+        env.run()
+        assert env.tombstones_skipped == 1
+
+    def test_clock_wins_interrupts_child(self, env):
+        seen = []
+
+        def child(env):
+            try:
+                yield env.timeout(10)
+            except Interrupt as interrupt:
+                seen.append((env.now, interrupt.cause))
+
+        def proc(env):
+            try:
+                yield from with_timeout(env, child(env), 2.0, name="slow#3")
+            except TimeoutExpired as exc:
+                return (env.now, str(exc), exc.timeout)
+
+        assert env.run(env.process(proc(env))) == (
+            2.0, "slow#3: no result within 2.0s", 2.0,
+        )
+        env.run()
+        assert seen == [(2.0, "timeout")]
+        assert env.tombstones_skipped == 0
