@@ -28,9 +28,9 @@ the simulation.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Any, Iterable
 
+from ..sim.core import env_flag
 from .graph import ProvEvent, ProvGraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -60,12 +60,7 @@ def default_provenance() -> bool:
     """Effective default: :func:`set_default_provenance` > ``REPRO_PROVENANCE``."""
     if _DEFAULT_PROVENANCE is not None:
         return _DEFAULT_PROVENANCE
-    return os.environ.get("REPRO_PROVENANCE", "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
+    return env_flag("REPRO_PROVENANCE")
 
 
 class ProvenanceCapture:

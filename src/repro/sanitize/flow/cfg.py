@@ -40,6 +40,8 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from ..simlint import _contains_yield
+
 __all__ = ["Node", "CFG", "build_cfg", "stmt_has_yield"]
 
 #: Statement/synthetic node kinds a CFG can contain.
@@ -49,30 +51,9 @@ KINDS = (
 )
 
 
-def _iter_same_function(node: ast.AST):
-    """Child walk that does not descend into nested defs/lambdas."""
-    stack = list(ast.iter_child_nodes(node))
-    while stack:
-        child = stack.pop()
-        if isinstance(
-            child,
-            (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef),
-        ):
-            continue
-        yield child
-        stack.extend(ast.iter_child_nodes(child))
-
-
 def stmt_has_yield(stmt: ast.stmt) -> bool:
     """True if this (simple) statement suspends the generator."""
-    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        return False  # a nested def's yields suspend *that* function
-    if isinstance(stmt, (ast.Yield, ast.YieldFrom)):
-        return True
-    return any(
-        isinstance(child, (ast.Yield, ast.YieldFrom))
-        for child in _iter_same_function(stmt)
-    )
+    return _contains_yield(stmt)
 
 
 @dataclass(slots=True)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import PurePath
 from typing import Iterable
 
-from ..simlint import _Imports
+from ..simlint import _body_contains_yield, _Imports
 from .cfg import CFG, build_cfg
 from .taint import EMPTY_SUMMARY, FunctionTaint, Summary
 
@@ -110,13 +110,6 @@ def _params_of(node: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
     return [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
 
 
-def _has_yield(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
-    for child in ast.walk(node):
-        if isinstance(child, (ast.Yield, ast.YieldFrom)):
-            return True
-    return False
-
-
 def _collect(
     program: Program,
     body: list[ast.stmt],
@@ -140,7 +133,7 @@ def _collect(
                     node=stmt,
                     imports=imports,
                     params=_params_of(stmt),
-                    is_generator=_has_yield(stmt),
+                    is_generator=_body_contains_yield(stmt.body),
                 )
             )
             _collect(

@@ -316,20 +316,26 @@ class _Imports(ast.NodeVisitor):
         return None
 
 
+#: Nodes that open their own yield scope: a yield inside one suspends
+#: *that* function, never the enclosing one.
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
 def _walk_same_function(node: ast.AST) -> Iterator[ast.AST]:
     """Walk a subtree without descending into nested function/class defs."""
     stack = list(ast.iter_child_nodes(node))
     while stack:
         child = stack.pop()
-        if isinstance(
-            child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
-        ):
+        if isinstance(child, _SCOPES):
             continue
         yield child
         stack.extend(ast.iter_child_nodes(child))
 
 
 def _contains_yield(node: ast.AST) -> bool:
+    """True if ``node`` suspends the function it belongs to."""
+    if isinstance(node, _SCOPES):
+        return False
     return any(
         isinstance(child, (ast.Yield, ast.YieldFrom))
         for child in _walk_same_function(node)
@@ -337,12 +343,7 @@ def _contains_yield(node: ast.AST) -> bool:
 
 
 def _body_contains_yield(stmts: Iterable[ast.stmt]) -> bool:
-    for stmt in stmts:
-        if isinstance(stmt, (ast.Yield, ast.YieldFrom)):
-            return True
-        if _contains_yield(stmt):
-            return True
-    return False
+    return any(_contains_yield(stmt) for stmt in stmts)
 
 
 # --------------------------------------------------------------------------

@@ -59,6 +59,7 @@ __all__ = [
     "NORMAL",
     "set_default_sanitize",
     "default_sanitize",
+    "env_flag",
     "set_default_event_queue",
     "default_event_queue",
 ]
@@ -77,16 +78,16 @@ def set_default_sanitize(enabled: bool | None) -> bool | None:
     return previous
 
 
+def env_flag(name: str) -> bool:
+    """True if environment variable ``name`` reads 1/true/yes/on (any case)."""
+    return os.environ.get(name, "").strip().lower() in ("1", "true", "yes", "on")
+
+
 def default_sanitize() -> bool:
     """Effective default: :func:`set_default_sanitize` > ``REPRO_SANITIZE``."""
     if _DEFAULT_SANITIZE is not None:
         return _DEFAULT_SANITIZE
-    return os.environ.get("REPRO_SANITIZE", "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
+    return env_flag("REPRO_SANITIZE")
 
 #: Sentinel for an event value that has not been produced yet.
 PENDING = object()

@@ -119,22 +119,11 @@ def deploy_soma(
     (service_task,) = client.submit_tasks([service_td])
     service_model: SomaServiceModel = service_td.metadata["soma_model"]
 
-    # Wait until every namespace instance is reachable.  A sharded
-    # deployment registers instance-qualified names; wait for all of
-    # them so clients never race the slowest shard's bring-up.
-    if config.sharded:
-        names = [
-            f"{config.registry_prefix}.{instance}.{namespace}"
-            for instance in config.instance_names
-            for namespace in config.namespaces
-        ]
-    else:
-        names = [
-            f"{config.registry_prefix}.{namespace}"
-            for namespace in config.namespaces
-        ]
-    for name in names:
-        yield from session.rpc_registry.lookup(name)
+    # Wait until every server of the layout is reachable (every shard
+    # instance's, when sharded), so clients never race the slowest
+    # bring-up.
+    for key in service_model.stores:
+        yield from session.rpc_registry.lookup(f"{config.registry_prefix}.{key}")
 
     # Step 4: the RP monitoring client, one per workflow, on the agent
     # node.

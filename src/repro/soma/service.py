@@ -28,7 +28,7 @@ from .sharding import (
     HashRing,
     ShardRouter,
     instance_names,
-    shard_key,
+    server_key,
     shared_ring,
 )
 from .storage import NamespaceStore
@@ -66,8 +66,8 @@ class SomaConfig:
     #: Per-call CPU service time parameters of the instance servers.
     base_service_time: float = 2e-4
     per_byte_service_time: float = 2e-9
-    #: Registry name prefix; clients look up "<prefix>.<namespace>"
-    #: (single instance) or "<prefix>.<instance>.<namespace>" (sharded).
+    #: Registry name prefix; clients look up "<prefix>.<key>", the key
+    #: from :func:`~repro.soma.sharding.server_key`.
     registry_prefix: str = "soma"
     #: Retry policy handed to every monitor's SOMA client (None = each
     #: publish is a single attempt, as in the failure-free paper runs).
@@ -151,11 +151,16 @@ class SomaConfig:
 
 
 class SomaServiceModel(ServiceModel):
-    """The long-running SOMA service task."""
+    """The long-running SOMA service task.
+
+    One store and one RPC server per :func:`server_key` of the layout;
+    the classic service is the one-instance layout (instance ``None``).
+    """
 
     def __init__(self, session: "Session", config: SomaConfig) -> None:
         self.session = session
         self.config = config
+        self.router = config.make_router()
         # Namespace maps are written by the service process and read by
         # every monitor/client process; opted in to the kernel's
         # write-between-yields race detection under sanitize=True.
@@ -163,11 +168,13 @@ class SomaServiceModel(ServiceModel):
         self.servers: "dict[str, RPCServer]" = env.shared_dict("soma.servers")
         self.stores: "dict[str, NamespaceStore]" = env.shared_dict("soma.stores")
         prov = session.telemetry.provenance
-        for ns in config.namespaces:
-            store = NamespaceStore(ns)
-            if prov is not None:
-                prov.watch_store(store, name=ns)
-            self.stores[ns] = store
+        for instance in config.instance_names or (None,):
+            for ns in config.namespaces:
+                key = server_key(instance, ns)
+                store = NamespaceStore(ns)
+                if prov is not None:
+                    prov.watch_store(store, name=key)
+                self.stores[key] = store
         self.publishes = 0
         self.started_at: float | None = None
 
@@ -180,33 +187,39 @@ class SomaServiceModel(ServiceModel):
             # Namespace instances are spread round-robin over the
             # service task's nodes.
             node = ctx.placements[i % len(ctx.placements)].node
-            server = RPCServer(
-                env=ctx.env,
-                network=ctx.network,
-                node=node,
-                name=f"{self.config.registry_prefix}.{namespace}",
-                ranks=self.config.ranks_per_namespace,
-                base_service_time=self.config.base_service_time,
-                per_byte_service_time=self.config.per_byte_service_time,
-                component="soma-service",
-            )
-            store = self.stores[namespace]
-            server.register(
-                "publish", self._make_publish_handler(namespace, store)
-            )
-            server.register(
-                "query", self._make_query_handler(namespace, store)
-            )
-            self.servers[namespace] = server
-            self.session.rpc_registry.publish(server)
-            self.session.tracer.record(
-                "soma.instance",
-                namespace,
-                node=node.name,
-                ranks=self.config.ranks_per_namespace,
-            )
+            self._start_server(server_key(None, namespace), namespace, node, ctx.network)
         return
         yield  # pragma: no cover - setup is synchronous here
+
+    def _start_server(
+        self,
+        key: str,
+        namespace: str,
+        node: "Node",
+        network: "Network",
+        admission: AdmissionController | None = None,
+    ) -> None:
+        """Serve the store at ``key`` from ``node`` and publish its name."""
+        config = self.config
+        server = RPCServer(
+            env=self.session.env,
+            network=network,
+            node=node,
+            name=f"{config.registry_prefix}.{key}",
+            ranks=config.ranks_per_namespace,
+            base_service_time=config.base_service_time,
+            per_byte_service_time=config.per_byte_service_time,
+            component="soma-service",
+            admission=admission,
+        )
+        store = self.stores[key]
+        server.register("publish", self._make_publish_handler(namespace, store))
+        server.register("query", self._make_query_handler(namespace, store))
+        self.servers[key] = server
+        self.session.rpc_registry.publish(server)
+        self.session.tracer.record(
+            "soma.instance", key, node=node.name, ranks=config.ranks_per_namespace
+        )
 
     def teardown(self, ctx: ExecutionContext) -> None:
         for server in self.servers.values():
@@ -232,14 +245,8 @@ class SomaServiceModel(ServiceModel):
                 nbytes=request.payload_bytes,
             )
             self.publishes += 1
-            # Storage-layer visibility: lands on the active rpc.serve
-            # span (the handler runs inside the server's span).
-            self.session.telemetry.event(
-                "soma.store.append",
-                namespace=namespace,
-                nbytes=record.nbytes,
-                records=len(store),
-            )
+            # With telemetry on, the tracer sink attaches this record to
+            # the active rpc.serve span: the one storage-layer event.
             self.session.tracer.record(
                 "soma.publish",
                 namespace,
@@ -304,8 +311,11 @@ class SomaServiceModel(ServiceModel):
 
     # -- offline access (after the run) ---------------------------------------------
 
-    def store(self, namespace: str) -> NamespaceStore:
-        return self.stores[namespace]
+    def store(self, namespace: str, tenant: str | None = None) -> NamespaceStore:
+        """The store owning ``(tenant, namespace)``, resolved as clients do."""
+        tenant = tenant if tenant is not None else self.config.tenant
+        owner = self.router.owner(tenant, namespace)
+        return self.stores[server_key(owner, namespace)]
 
 
 class ShardedSomaServiceModel(SomaServiceModel):
@@ -326,23 +336,10 @@ class ShardedSomaServiceModel(SomaServiceModel):
     def __init__(self, session: "Session", config: SomaConfig) -> None:
         if not config.sharded:
             raise ValueError("ShardedSomaServiceModel needs config.shards > 0")
-        self.session = session
-        self.config = config
-        env = session.env
-        self.servers: "dict[str, RPCServer]" = env.shared_dict("soma.servers")
-        self.stores: "dict[str, NamespaceStore]" = env.shared_dict("soma.stores")
-        self.ring = config.make_ring()
+        super().__init__(session, config)
+        self.ring = self.router.ring
         #: Per-instance admission controllers (empty when disabled).
         self.admission: dict[str, AdmissionController] = {}
-        prov = session.telemetry.provenance
-        for instance in config.instance_names:
-            for ns in config.namespaces:
-                store = NamespaceStore(ns)
-                if prov is not None:
-                    prov.watch_store(store, name=f"{instance}.{ns}")
-                self.stores[f"{instance}.{ns}"] = store
-        self.publishes = 0
-        self.started_at: float | None = None
 
     def bring_up(self, nodes: "list[Node]", network: "Network") -> None:
         """Start every instance's servers; callable without RP machinery.
@@ -364,33 +361,8 @@ class ShardedSomaServiceModel(SomaServiceModel):
                 )
                 self.admission[instance] = controller
             for namespace in self.config.namespaces:
-                key = f"{instance}.{namespace}"
-                server = RPCServer(
-                    env=env,
-                    network=network,
-                    node=node,
-                    name=f"{self.config.registry_prefix}.{key}",
-                    ranks=self.config.ranks_per_namespace,
-                    base_service_time=self.config.base_service_time,
-                    per_byte_service_time=self.config.per_byte_service_time,
-                    component="soma-service",
-                    admission=controller,
-                )
-                store = self.stores[key]
-                server.register(
-                    "publish", self._make_publish_handler(namespace, store)
-                )
-                server.register(
-                    "query", self._make_query_handler(namespace, store)
-                )
-                self.servers[key] = server
-                self.session.rpc_registry.publish(server)
-                self.session.tracer.record(
-                    "soma.instance",
-                    key,
-                    node=node.name,
-                    ranks=self.config.ranks_per_namespace,
-                )
+                key = server_key(instance, namespace)
+                self._start_server(key, namespace, node, network, controller)
 
     def setup(self, ctx: ExecutionContext):
         """RP service-task entry: spread instances over distinct nodes."""
@@ -413,16 +385,10 @@ class ShardedSomaServiceModel(SomaServiceModel):
 
     # -- offline access (after the run) ---------------------------------------------
 
-    def store(self, namespace: str, tenant: str | None = None) -> NamespaceStore:
-        """The store owning ``(tenant, namespace)`` per the ring."""
-        tenant = tenant if tenant is not None else self.config.tenant
-        owner = self.ring.owner(shard_key(tenant, namespace))
-        return self.stores[f"{owner}.{namespace}"]
-
     def stores_for(self, namespace: str) -> dict[str, NamespaceStore]:
         """Every instance's store for ``namespace`` (facility counts)."""
         return {
-            instance: self.stores[f"{instance}.{namespace}"]
+            instance: self.stores[server_key(instance, namespace)]
             for instance in self.config.instance_names
         }
 

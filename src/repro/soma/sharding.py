@@ -40,6 +40,7 @@ __all__ = [
     "ShardRouter",
     "TokenBucket",
     "instance_names",
+    "server_key",
     "shard_key",
     "shared_ring",
 ]
@@ -53,6 +54,11 @@ DEFAULT_VNODES = 128
 def shard_key(tenant: str, namespace: str) -> str:
     """The ring key for one tenant's view of one namespace."""
     return f"{tenant}/{namespace}"
+
+
+def server_key(instance: str | None, namespace: str) -> str:
+    """``"<instance>.<namespace>"``, or the bare namespace when unsharded."""
+    return namespace if instance is None else f"{instance}.{namespace}"
 
 
 def instance_names(count: int) -> tuple[str, ...]:
@@ -253,11 +259,11 @@ class AdmissionController:
 class ShardRouter:
     """Client-side routing: ``(tenant, namespace)`` → registry name.
 
-    A single-instance deployment routes every namespace to the classic
-    ``<prefix>.<namespace>`` name (``ring=None``); a sharded one routes
-    through the ring to ``<prefix>.<instance>.<namespace>``.  Clients
-    hold a router instead of a ring so the unsharded path stays free
-    of hashing entirely.
+    A single-instance deployment (``ring=None``) has no owner to look
+    up; a sharded one asks the ring.  Either way the name is
+    ``<prefix>.<server_key(owner, namespace)>``.  Clients hold a router
+    instead of a ring so the unsharded path stays free of hashing
+    entirely.
     """
 
     def __init__(
@@ -273,7 +279,5 @@ class ShardRouter:
         return self.ring.owner(shard_key(tenant, namespace))
 
     def registry_name(self, tenant: str, namespace: str) -> str:
-        owner = self.owner(tenant, namespace)
-        if owner is None:
-            return f"{self.registry_prefix}.{namespace}"
-        return f"{self.registry_prefix}.{owner}.{namespace}"
+        key = server_key(self.owner(tenant, namespace), namespace)
+        return f"{self.registry_prefix}.{key}"

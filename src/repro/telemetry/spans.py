@@ -31,10 +31,11 @@ telemetry on or off.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterator
+
+from ..sim.core import env_flag
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from typing import ContextManager
@@ -77,12 +78,7 @@ def default_telemetry() -> bool:
     """Effective default: :func:`set_default_telemetry` > ``REPRO_TELEMETRY``."""
     if _DEFAULT_TELEMETRY is not None:
         return _DEFAULT_TELEMETRY
-    return os.environ.get("REPRO_TELEMETRY", "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
+    return env_flag("REPRO_TELEMETRY")
 
 
 def active_telemetries() -> "list[Telemetry]":

@@ -191,6 +191,31 @@ def test_request_assigned_then_with_is_clean():
     )
 
 
+# A nested def is its own yield scope: waiter's yield does not make
+# make() a generator, so its broad except guards no scheduling point.
+NESTED_GENERATOR = """
+def make(env):
+    try:
+        def waiter():
+            yield env.timeout(1)
+        proc = env.process(waiter())
+    except Exception:
+        proc = None
+    return proc
+"""
+
+
+def test_broad_except_around_nested_generator_def_is_clean():
+    assert flow_findings(NESTED_GENERATOR) == []
+
+
+def test_nested_generator_def_does_not_make_its_parent_a_generator():
+    from repro.sanitize.flow import build_program
+
+    program = build_program([("nested.py", NESTED_GENERATOR)])
+    assert program.functions["nested.make"].is_generator is False
+
+
 # -- tree-wide gate ---------------------------------------------------------
 
 

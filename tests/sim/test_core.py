@@ -260,3 +260,35 @@ class TestRunUntilEvent:
         event.succeed(7)
         env.run()
         assert env.run(until=event) == 7
+
+
+# -- environment flags -------------------------------------------------------
+
+_FLAG_DEFAULTS = {
+    "REPRO_SANITIZE": ("repro.sim.core", "_DEFAULT_SANITIZE", "default_sanitize"),
+    "REPRO_TELEMETRY": (
+        "repro.telemetry.spans", "_DEFAULT_TELEMETRY", "default_telemetry"
+    ),
+    "REPRO_PROVENANCE": (
+        "repro.provenance.builder", "_DEFAULT_PROVENANCE", "default_provenance"
+    ),
+}
+
+
+@pytest.mark.parametrize("variable", sorted(_FLAG_DEFAULTS))
+@pytest.mark.parametrize(
+    "spelling, expected",
+    [("1", True), (" YES ", True), ("on", True), ("0", False), ("", False), ("no", False)],
+)
+def test_env_flag_spellings_drive_every_default(monkeypatch, variable, spelling, expected):
+    import importlib
+
+    from repro.sim.core import env_flag
+
+    module_name, override, default = _FLAG_DEFAULTS[variable]
+    module = importlib.import_module(module_name)
+    # Clear the process-wide override so the variable decides.
+    monkeypatch.setattr(module, override, None)
+    monkeypatch.setenv(variable, spelling)
+    assert env_flag(variable) is expected
+    assert getattr(module, default)() is expected

@@ -306,3 +306,61 @@ class TestShardedService:
         prefix = "SOMA/degraded/deg-client/workflow"
         assert latest.data[f"{prefix}/samples"] == 1
         assert latest.data[f"{prefix}/bytes"] > 0
+
+
+class TestServerLayout:
+    """One layout rule for every deployment: the single-instance service
+    is the one-instance case of the sharded service."""
+
+    TENANTS = ("t0", "t1")
+
+    @pytest.mark.parametrize("admission_rate", [None, 5.0])
+    @pytest.mark.parametrize(
+        "namespaces", [ALL_NAMESPACES, (WORKFLOW, HARDWARE)], ids=["all", "subset"]
+    )
+    @pytest.mark.parametrize("shards", [0, 1, 2, 3])
+    def test_names_stores_and_readiness_follow_server_key(
+        self, stack, monkeypatch, shards, namespaces, admission_rate
+    ):
+        from repro.soma.sharding import server_key
+
+        session, client = stack
+        config = SomaConfig(
+            namespaces=namespaces,
+            monitors=(),
+            shards=shards,
+            admission_rate=admission_rate,
+        )
+        registry = session.rpc_registry
+        waited = []
+        raw_lookup = registry.lookup
+
+        def lookup(name):
+            waited.append(name)
+            return (yield from raw_lookup(name))
+
+        monkeypatch.setattr(registry, "lookup", lookup)
+        _, deployment = deploy(session, client, config)
+        model = deployment.service_model
+        router = model.router
+
+        instances = config.instance_names or (None,)
+        keys = [server_key(i, ns) for i in instances for ns in namespaces]
+        assert list(model.servers) == list(model.stores) == keys
+        names = [server.name for server in model.servers.values()]
+        assert names == [f"soma.{key}" for key in keys]
+        assert sorted(registry.names()) == sorted(names)
+        # deploy_soma waited on exactly the served names, in order.
+        assert waited == names
+        gated = shards > 0 and admission_rate is not None
+        assert all((s.admission is not None) is gated for s in model.servers.values())
+
+        for tenant in self.TENANTS:
+            for ns in namespaces:
+                key = server_key(router.owner(tenant, ns), ns)
+                name = router.registry_name(tenant, ns)
+                assert name == f"soma.{key}"
+                server = registry.try_lookup(name)
+                assert server is model.servers[key]
+                assert model.store(ns, tenant) is model.stores[key]
+        client.close()

@@ -129,3 +129,28 @@ def test_real_run_attaches_task_records_to_task_spans(traced_ddmd):
     # record, not a copy.
     stored = {id(rec.data) for rec in session.tracer.records}
     assert all(id(e[2]) in stored for e in state_events)
+
+
+def test_publish_serve_span_holds_only_the_tracer_record():
+    # The SOMA publish handler logs through the tracer alone: each
+    # rpc.serve:publish span carries that one record, by reference.
+    from repro.experiments import TUNING, run_openfoam_experiment
+    from repro.telemetry import set_default_telemetry
+
+    previous = set_default_telemetry(True)
+    drain_telemetries()
+    try:
+        result = run_openfoam_experiment(TUNING, seed=3)
+    finally:
+        set_default_telemetry(previous)
+        hubs = drain_telemetries()
+    (hub,) = hubs
+    records = [r for r in result.session.tracer.records if r.category == "soma.publish"]
+    spans = [s for s in hub.spans if s.name == "rpc.serve:publish"]
+    assert spans and len(spans) == len(records)
+    data_of = {id(r.data): r.data for r in records}
+    for span in spans:
+        namespace = span.attributes["server"].split(".")[-1]
+        ((_, name, data),) = span.events
+        assert name == f"soma.publish:{namespace}"
+        assert data_of.get(id(data)) is data
